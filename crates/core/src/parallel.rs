@@ -7,6 +7,14 @@
 //! threads. The speedup is measured by the `fig13` experiment's parallel
 //! variant and the `verify_report` bench.
 //!
+//! The fan-out creates and joins its threads per call (≈65 µs a thread),
+//! so it pays only for batches of tens of thousands of reports: the
+//! in-process callers — [`crate::VeriDpServer::ingest_batch`] with
+//! `threads > 1`, the fig. 13 experiment, the benches. The wire path
+//! (`veridp-net`) does not call it: its long-lived verify workers each take
+//! a whole ~1 000-report batch and run the single-threaded fold here
+//! (`threads = 1`, no spawn) through [`crate::ReaderHandle::verify_summary`].
+//!
 //! The `*_fast` variants run the same sharding through the verification
 //! fast path (`crate::fastpath`): the immutable [`TagIndex`] is shared
 //! across workers by reference, while every worker owns a **private**

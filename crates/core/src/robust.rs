@@ -23,7 +23,7 @@
 //! none of the three arms can trigger, and robust ingest is bit-identical to
 //! plain verification — the differential suite asserts this.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use veridp_packet::TagReport;
 
@@ -65,21 +65,121 @@ impl Default for RobustConfig {
 /// *fresh* report, and under K-of-N confirmation every genuine failing
 /// observation counts. The window only needs to cover the transport's
 /// duplication horizon, so a few thousand entries suffice.
-#[derive(Debug, Default)]
+///
+/// One copy of each remembered report lives in a ring (arrival order, so
+/// the oldest is always at `head`), found through an open-addressed index
+/// of ring positions. Reports come off the wire, so the index hash is keyed
+/// by a per-instance random seed: a sender that cannot read the seed cannot
+/// aim reports at one probe chain. A collision never costs exactness — a
+/// slot only matches after the full report compares equal — only time.
+#[derive(Debug)]
 pub struct RecentFilter {
     capacity: usize,
-    seen: HashSet<TagReport>,
-    order: VecDeque<TagReport>,
+    /// The remembered reports; grows to `capacity`, then wraps.
+    ring: Vec<TagReport>,
+    /// Ring position of the oldest report once the ring is full.
+    head: usize,
+    /// Linear-probing table, a power of two at least twice the ring. A slot
+    /// is 0 when empty, else `(ring position + 1) << 32 | low 32 hash bits`.
+    index: Vec<u64>,
+    seed: (u64, u64),
+}
+
+impl Default for RecentFilter {
+    /// A zero-capacity filter (dedup disabled).
+    fn default() -> Self {
+        RecentFilter::new(0)
+    }
+}
+
+/// `a * b` with the high half folded into the low one: the mixing step of
+/// the keyed hash (as in aHash's fallback and foldhash).
+#[inline]
+fn folded_mul(a: u64, b: u64) -> u64 {
+    let p = u128::from(a) * u128::from(b);
+    (p as u64) ^ ((p >> 64) as u64)
 }
 
 impl RecentFilter {
-    /// A filter remembering at most `capacity` recent reports.
+    /// Ring positions are stored in 32 bits next to 32 hash bits.
+    const MAX_CAPACITY: usize = 1 << 30;
+
+    /// A filter remembering at most `capacity` recent reports (at most
+    /// 2^30; ring and index grow as reports arrive).
     pub fn new(capacity: usize) -> Self {
+        let seeds = std::collections::hash_map::RandomState::new();
         RecentFilter {
-            capacity,
-            seen: HashSet::with_capacity(capacity.min(1 << 16)),
-            order: VecDeque::with_capacity(capacity.min(1 << 16)),
+            capacity: capacity.min(Self::MAX_CAPACITY),
+            ring: Vec::new(),
+            head: 0,
+            index: vec![0; 2],
+            seed: (
+                std::hash::BuildHasher::hash_one(&seeds, 0u8),
+                std::hash::BuildHasher::hash_one(&seeds, 1u8) | 1,
+            ),
         }
+    }
+
+    /// Keyed hash over the fields [`TagReport`] equality covers (never
+    /// `origin_ns`: a re-sent report is the same observation).
+    #[inline]
+    fn hash(&self, r: &TagReport) -> u64 {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let words = [
+            u64::from(r.inport.switch.0)
+                | u64::from(r.inport.port.0) << 32
+                | u64::from(r.header.src_port) << 48,
+            u64::from(r.outport.switch.0)
+                | u64::from(r.outport.port.0) << 32
+                | u64::from(r.header.dst_port) << 48,
+            u64::from(r.header.src_ip) | u64::from(r.header.dst_ip) << 32,
+            u64::from(r.tag.nbits()) | u64::from(r.header.proto) << 32,
+            r.tag.bits(),
+            r.epoch,
+        ];
+        let mixed = words.iter().fold(self.seed.0, |h, &w| folded_mul(h ^ w, K));
+        folded_mul(mixed, self.seed.1)
+    }
+
+    /// Where `report` is indexed: `Ok(slot)` holding it, or `Err(slot)`,
+    /// the empty slot that ends its probe chain.
+    #[inline]
+    fn probe(&self, report: &TagReport, hash: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            match self.index[i] {
+                0 => return Err(i),
+                slot if slot as u32 == hash as u32
+                    && self.ring[(slot >> 32) as usize - 1] == *report =>
+                {
+                    return Ok(i)
+                }
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// Empty slot `i`, closing the gap so no probe chain is cut: each
+    /// later entry of the run moves back unless that would put it before
+    /// its home slot.
+    fn unindex(&mut self, mut i: usize) {
+        let mask = self.index.len() - 1;
+        let mut j = i;
+        loop {
+            j = (j + 1) & mask;
+            let slot = self.index[j];
+            if slot == 0 {
+                break;
+            }
+            let home = slot as u32 as usize & mask;
+            // `home` cyclically outside (i, j]: the entry may sit at `i`.
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
+                self.index[i] = slot;
+                i = j;
+            }
+        }
+        self.index[i] = 0;
     }
 
     /// Record a report; `true` if it is fresh (not currently in the window),
@@ -89,26 +189,54 @@ impl RecentFilter {
         if self.capacity == 0 {
             return true;
         }
-        if !self.seen.insert(*report) {
+        let hash = self.hash(report);
+        if self.probe(report, hash).is_ok() {
             return false;
         }
-        self.order.push_back(*report);
-        if self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
+        let pos = if self.ring.len() < self.capacity {
+            self.ring.push(*report);
+            self.ring.len() - 1
+        } else {
+            // Full: the newcomer takes the oldest report's ring position.
+            let oldest = self.ring[self.head];
+            let slot = self
+                .probe(&oldest, self.hash(&oldest))
+                .expect("every remembered report is indexed");
+            self.unindex(slot);
+            self.ring[self.head] = *report;
+            let pos = self.head;
+            self.head = (self.head + 1) % self.capacity;
+            pos
+        };
+        if self.ring.len() * 2 > self.index.len() {
+            // Keep the table at most half full: double it and re-enter
+            // every remembered report, the newcomer included.
+            self.index = vec![0; self.index.len() * 2];
+            for pos in 0..self.ring.len() {
+                self.enter(pos, self.hash(&self.ring[pos]));
             }
+        } else {
+            self.enter(pos, hash);
         }
         true
     }
 
+    /// Index the (not yet indexed) report at ring position `pos`.
+    fn enter(&mut self, pos: usize, hash: u64) {
+        let free = self
+            .probe(&self.ring[pos], hash)
+            .expect_err("remembered reports are distinct");
+        self.index[free] = (pos as u64 + 1) << 32 | u64::from(hash as u32);
+    }
+
     /// Number of reports currently remembered.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.ring.len()
     }
 
     /// Whether the filter is empty.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.ring.is_empty()
     }
 }
 

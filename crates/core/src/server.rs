@@ -379,9 +379,10 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
 
     /// A wait-free reader handle onto the published snapshots, for verify
     /// threads that must keep running while this server applies churn.
-    /// `None` while snapshots are disabled.
+    /// `None` while snapshots are disabled, or when every reader slot of the
+    /// snapshot layer is taken (64 per table, one of them the server's own).
     pub fn snapshot_reader(&self) -> Option<ReaderHandle<B>> {
-        self.snapshots.as_ref().map(|l| l.publisher.reader())
+        self.snapshots.as_ref()?.publisher.try_reader()
     }
 
     /// Publication counters of the snapshot layer (`None` while disabled).
@@ -618,7 +619,7 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
                     fastpath,
                     stats,
                     suspects,
-                    mirror_obs: true,
+                    deferred: None,
                 }
                 .step(&mut robust, report)
             }
@@ -628,7 +629,7 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
                 fastpath,
                 stats,
                 suspects,
-                mirror_obs: true,
+                deferred: None,
             }
             .step(&mut robust, report),
         };
@@ -661,7 +662,7 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
                     fastpath,
                     stats,
                     suspects,
-                    mirror_obs: true,
+                    deferred: None,
                 }
                 .settle(&mut robust)
             }
@@ -671,7 +672,7 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
                 fastpath,
                 stats,
                 suspects,
-                mirror_obs: true,
+                deferred: None,
             }
             .settle(&mut robust),
         }
@@ -705,6 +706,7 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
             state: RobustState::new(config),
             stats: ServerStats::default(),
             suspects: HashMap::new(),
+            deferred: DeferredObs::default(),
         })
     }
 
@@ -714,13 +716,21 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
     /// into the server's aggregator ([`AlarmAggregator::absorb`]). Requires
     /// robust mode for the alarm merge; stats and suspects fold regardless.
     pub fn absorb(&mut self, harvest: RobustHarvest) {
-        self.stats.merge(&harvest.stats);
         for (s, n) in harvest.suspects {
             *self.suspects.entry(s).or_default() += n;
         }
         if let Some(robust) = &mut self.robust {
             robust.alarms.absorb(harvest.alarms);
         }
+        self.absorb_stats(&harvest.stats);
+    }
+
+    /// Fold the statistics a plain verify worker accumulated on its own
+    /// [`VeriDpServer::snapshot_reader`] back into this server — the
+    /// stats-only sibling of [`VeriDpServer::absorb`] for workers that
+    /// localize nothing and raise no alarms.
+    pub fn absorb_stats(&mut self, stats: &ServerStats) {
+        self.stats.merge(stats);
         self.publish_obs();
     }
 }
@@ -736,12 +746,50 @@ struct RobustCtx<'a, B: HeaderSetBackend> {
     fastpath: &'a mut Option<VerifyFastPath>,
     stats: &'a mut ServerStats,
     suspects: &'a mut HashMap<SwitchId, u64>,
-    /// Mirror absolute stats into the global obs registry on the
-    /// 1024-report rhythm and keep the quarantine gauge fresh. On for the
-    /// single-owner server paths; off for sharded workers, whose absolute
-    /// stores would clobber each other (their totals reach obs when the
-    /// server absorbs the harvest).
-    mirror_obs: bool,
+    /// Where per-verdict telemetry goes. `None` on the single-owner server
+    /// paths: every stamped verdict lands in the global gap histogram and
+    /// lag gauge at once, absolute stats are mirrored into the obs registry
+    /// on the 1024-report rhythm and the quarantine gauge is kept fresh.
+    /// Sharded workers pass their [`DeferredObs`] instead: absolute stores
+    /// from several workers would clobber each other (their totals reach
+    /// obs when the server absorbs the harvest), and per-report RMWs on the
+    /// one global histogram would have every worker fighting over its cache
+    /// lines — they record locally and publish once per call.
+    deferred: Option<&'a mut DeferredObs>,
+}
+
+/// A sharded worker's per-call telemetry buffer: the gap-detection samples
+/// and the last epoch lag of one `ingest_batch_with`/`settle` call, published
+/// by [`DeferredObs::flush`] when the call ends. Still a census — every
+/// stamped verdict is recorded, only the atomic traffic is batched.
+#[derive(Default)]
+struct DeferredObs {
+    gap: obs::LocalHistogram,
+    lag: Option<i64>,
+}
+
+impl DeferredObs {
+    #[inline]
+    fn record(&mut self, report: &TagReport, table_epoch: u64) {
+        if !obs::ENABLED || report.origin_ns == 0 {
+            return;
+        }
+        self.lag = epoch_lag(report, table_epoch).or(self.lag);
+        record_gap_local(report, obs::monotonic_ns(), &mut self.gap);
+    }
+
+    /// Publish the call's samples: into the global histogram and gauge, and
+    /// into the worker's own run-local histogram.
+    fn flush(&mut self, stats: &mut ServerStats) {
+        if let Some(lag) = self.lag.take() {
+            obs::gauge!("veridp_epoch_lag").set(lag);
+        }
+        if self.gap.count() > 0 {
+            obs::histogram!("veridp_gap_detect_ns").merge_local(&self.gap);
+            stats.gap_detect.merge(&self.gap);
+            self.gap.clear();
+        }
+    }
 }
 
 impl<B: HeaderSetBackend> RobustCtx<'_, B> {
@@ -777,7 +825,7 @@ impl<B: HeaderSetBackend> RobustCtx<'_, B> {
                     self.resolve_final(&old, &mut robust.alarms);
                 }
             }
-            if self.mirror_obs {
+            if self.deferred.is_none() {
                 obs::gauge!("veridp_robust_quarantine_len").set(robust.quarantine.len() as i64);
             }
             return Disposition::Quarantined;
@@ -792,7 +840,7 @@ impl<B: HeaderSetBackend> RobustCtx<'_, B> {
         while let Some(report) = robust.quarantine.pop_front() {
             self.resolve_final(&report, &mut robust.alarms);
         }
-        if self.mirror_obs {
+        if self.deferred.is_none() {
             obs::gauge!("veridp_robust_quarantine_len").set(0);
         }
     }
@@ -837,14 +885,17 @@ impl<B: HeaderSetBackend> RobustCtx<'_, B> {
     /// Fold one final verdict in, mirroring to obs on the same 1024-report
     /// rhythm [`VeriDpServer::count_verdict`] uses (when enabled).
     fn count_verdict(&mut self, report: &TagReport, outcome: VerifyOutcome) {
-        record_verdict_obs(report, self.table.epoch(), &mut self.stats.gap_detect);
+        match &mut self.deferred {
+            Some(deferred) => deferred.record(report, self.table.epoch()),
+            None => record_verdict_obs(report, self.table.epoch(), &mut self.stats.gap_detect),
+        }
         self.stats.reports += 1;
         match outcome {
             VerifyOutcome::Pass => self.stats.passed += 1,
             VerifyOutcome::TagMismatch => self.stats.tag_mismatch += 1,
             VerifyOutcome::NoMatchingPath => self.stats.no_matching_path += 1,
         }
-        if self.mirror_obs && obs::ENABLED && self.stats.reports & 1023 == 0 {
+        if self.deferred.is_none() && obs::ENABLED && self.stats.reports & 1023 == 0 {
             publish_stats_obs(self.stats, self.suspects.len());
         }
     }
@@ -863,6 +914,7 @@ pub struct RobustWorker<B: HeaderSetBackend = HeaderSpace> {
     state: RobustState,
     stats: ServerStats,
     suspects: HashMap<SwitchId, u64>,
+    deferred: DeferredObs,
 }
 
 impl<B: HeaderSetBackend> RobustWorker<B> {
@@ -894,6 +946,7 @@ impl<B: HeaderSetBackend> RobustWorker<B> {
             state,
             stats,
             suspects,
+            deferred,
         } = self;
         let guard = reader.pin();
         let mut ctx = RobustCtx {
@@ -902,11 +955,12 @@ impl<B: HeaderSetBackend> RobustWorker<B> {
             fastpath,
             stats,
             suspects,
-            mirror_obs: false,
+            deferred: Some(deferred),
         };
         for r in reports {
             observe(ctx.step(state, r));
         }
+        deferred.flush(stats);
     }
 
     /// Drain this shard's quarantine against the latest published version.
@@ -917,6 +971,7 @@ impl<B: HeaderSetBackend> RobustWorker<B> {
             state,
             stats,
             suspects,
+            deferred,
         } = self;
         let guard = reader.pin();
         RobustCtx {
@@ -925,9 +980,10 @@ impl<B: HeaderSetBackend> RobustWorker<B> {
             fastpath,
             stats,
             suspects,
-            mirror_obs: false,
+            deferred: Some(deferred),
         }
         .settle(state);
+        deferred.flush(stats);
     }
 
     /// This shard's running statistics.
@@ -1014,9 +1070,23 @@ pub(crate) fn record_gap_at(
     if !obs::ENABLED || report.origin_ns == 0 {
         return None;
     }
-    if report.epoch != 0 && report.epoch <= table_epoch {
-        obs::gauge!("veridp_epoch_lag").set((table_epoch - report.epoch) as i64);
+    if let Some(lag) = epoch_lag(report, table_epoch) {
+        obs::gauge!("veridp_epoch_lag").set(lag);
     }
+    record_gap_local(report, now_ns, gap)
+}
+
+/// Table epochs between an epoch-stamped report and the view that judged
+/// it — the `veridp_epoch_lag` sample.
+#[inline]
+fn epoch_lag(report: &TagReport, table_epoch: u64) -> Option<i64> {
+    (report.epoch != 0 && report.epoch <= table_epoch).then(|| (table_epoch - report.epoch) as i64)
+}
+
+/// The gap sample of one origin-stamped report into a local histogram,
+/// touching nothing shared unless the stamp is implausible.
+#[inline]
+fn record_gap_local(report: &TagReport, now_ns: u64, gap: &mut obs::LocalHistogram) -> Option<u64> {
     let delta = now_ns.saturating_sub(report.origin_ns).max(1);
     if delta > GAP_STAMP_PLAUSIBLE_NS {
         obs::counter!("veridp_gap_stamp_implausible_total").inc();

@@ -283,19 +283,18 @@ pub struct ReaderHandle<B: HeaderSetBackend> {
 }
 
 impl<B: HeaderSetBackend> ReaderHandle<B> {
-    fn register(cell: Arc<SnapshotCell<B>>) -> Self {
-        let slot = (0..MAX_READERS)
-            .find(|&i| {
-                cell.claimed[i]
-                    .compare_exchange(false, true, SeqCst, SeqCst)
-                    .is_ok()
-            })
-            .expect("snapshot reader limit (64 handles) exceeded");
-        ReaderHandle {
+    /// Claim a free pin slot; `None` when all `MAX_READERS` are taken.
+    fn register(cell: Arc<SnapshotCell<B>>) -> Option<Self> {
+        let slot = (0..MAX_READERS).find(|&i| {
+            cell.claimed[i]
+                .compare_exchange(false, true, SeqCst, SeqCst)
+                .is_ok()
+        })?;
+        Some(ReaderHandle {
             cell,
             slot,
             caches: Vec::new(),
-        }
+        })
     }
 
     /// Pin the currently-published version: two atomic operations, never a
@@ -419,7 +418,19 @@ impl<B: HeaderSetBackend> SnapshotPublisher<B> {
 
     /// Register a new reader. Handles are `Send`; hand them to verify
     /// threads before starting churn.
+    ///
+    /// # Panics
+    /// Panics when every reader slot is taken; [`Self::try_reader`] reports
+    /// that as `None` instead.
     pub fn reader(&self) -> ReaderHandle<B> {
+        self.try_reader()
+            .expect("snapshot reader limit (64 handles) exceeded")
+    }
+
+    /// [`Self::reader`] for callers whose reader count comes from
+    /// configuration: `None` when all 64 slots are taken (a dropped handle
+    /// frees its slot).
+    pub fn try_reader(&self) -> Option<ReaderHandle<B>> {
         ReaderHandle::register(Arc::clone(&self.cell))
     }
 

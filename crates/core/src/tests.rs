@@ -1946,6 +1946,85 @@ fn recent_filter_exact_and_bounded() {
     assert!(off.insert(&r(1)));
 }
 
+/// The previous `RecentFilter` — a `HashSet` of the window plus a
+/// `VecDeque` of the same reports in arrival order — kept as the reference
+/// model the ring + index implementation is checked against.
+struct RecentFilterModel {
+    capacity: usize,
+    seen: std::collections::HashSet<TagReport>,
+    order: std::collections::VecDeque<TagReport>,
+}
+
+impl RecentFilterModel {
+    fn insert(&mut self, report: &TagReport) -> bool {
+        if self.capacity == 0 {
+            return true;
+        }
+        if !self.seen.insert(*report) {
+            return false;
+        }
+        self.order.push_back(*report);
+        if self.order.len() > self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                self.seen.remove(&old);
+            }
+        }
+        true
+    }
+}
+
+#[test]
+fn recent_filter_matches_reference_model() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    for capacity in [0usize, 1, 7, 8192] {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(seed * 31 + capacity as u64);
+            let mut filter = crate::RecentFilter::new(capacity);
+            let mut model = RecentFilterModel {
+                capacity,
+                seen: Default::default(),
+                order: Default::default(),
+            };
+            // Every field equality covers varies; the origin stamp varies
+            // too and must never tell two copies apart.
+            let fresh = |rng: &mut StdRng| {
+                TagReport::new(
+                    PortRef::new(rng.gen_range(1..4), rng.gen_range(1..3)),
+                    PortRef::new(rng.gen_range(1..4), rng.gen_range(1..3)),
+                    FiveTuple::tcp(rng.gen(), rng.gen(), rng.gen(), 80),
+                    BloomTag::from_bits(rng.gen::<u64>() & 0xffff, 16),
+                )
+                .with_epoch(rng.gen_range(0..3))
+            };
+            let mut sent: Vec<TagReport> = Vec::new();
+            for step in 0..40_000usize {
+                let report = match rng.gen_range(0..10) {
+                    // Near duplicate: one of the last few reports, well
+                    // inside every non-trivial window.
+                    0 | 1 if !sent.is_empty() => {
+                        sent[sent.len() - 1 - rng.gen_range(0..sent.len().min(5))]
+                    }
+                    // Far duplicate: anywhere in the history, so around
+                    // the eviction boundary and long past it.
+                    2 if !sent.is_empty() => sent[rng.gen_range(0..sent.len())],
+                    _ => fresh(&mut rng),
+                }
+                .with_origin(step as u64);
+                sent.push(report);
+                assert_eq!(
+                    filter.insert(&report),
+                    model.insert(&report),
+                    "capacity {capacity} seed {seed} step {step}"
+                );
+                assert_eq!(filter.len(), model.order.len());
+            }
+            assert_eq!(filter.is_empty(), capacity == 0);
+        }
+    }
+}
+
 #[test]
 fn robust_ingest_dispositions_and_settle() {
     use crate::{Disposition, RobustConfig};

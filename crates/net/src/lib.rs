@@ -27,16 +27,18 @@
 //!   control then pushes back to the sender), UDP producers *shed* —
 //!   counted in [`NetStats`], never silent, the same contract as
 //!   `veridp_core::robust`'s quarantine overflow.
-//! * [`VerifyPump`] / [`serve`] — the consumer side. Without
-//!   [`IngestConfig::robust`]: one thread owning the `VeriDpServer`,
-//!   draining batches through `ingest_batch`. With it: intake shards every
-//!   batch by `(inport, outport)` pair and one `RobustWorker` per shard
-//!   runs the full robust path (dedup, epoch grace, quarantine, alarm
-//!   confirmation) against pinned RCU snapshots, all pair-keyed state
-//!   shard-local. [`serve`] wires listener + pump(s) into an
+//! * [`VerifyPump`] / [`serve`] — the consumer side: a fixed pool of
+//!   long-lived verify workers, each popping whole batches and verifying
+//!   them inline against a pinned RCU snapshot with worker-private caches
+//!   and counters. Without [`IngestConfig::robust`]:
+//!   [`IngestConfig::verify_threads`] workers share the one queue. With
+//!   it: intake shards every batch by `(inport, outport)` pair and one
+//!   `RobustWorker` per shard runs the full robust path (dedup, epoch
+//!   grace, quarantine, alarm confirmation), all pair-keyed state
+//!   shard-local. [`serve`] wires listener + workers into an
 //!   [`IngestPipeline`] whose [`shutdown`](IngestPipeline::shutdown)
 //!   performs the drain-then-stop dance: intake stops first, the queues
-//!   are closed, the pumps drain them to empty, worker harvests are
+//!   are closed, the workers drain them to empty, their harvests are
 //!   absorbed back into the server, and only then does the call return —
 //!   every accepted frame is either verified or counted as shed.
 //! * [`NetSender`] — the client half: connect over either transport, buffer

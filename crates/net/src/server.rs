@@ -21,24 +21,29 @@
 //! to would-block, so idle periods never hold reports hostage and no timer
 //! is needed.
 //!
-//! The verify side has two shapes:
+//! The verify side is a fixed pool of long-lived `net-verify-{i}` workers,
+//! each popping *whole batches* and verifying them inline against a pinned
+//! RCU snapshot of the server's table: the steady state creates no thread
+//! and takes no lock beyond the queue pop. Two worker kinds, one loop:
 //!
-//! * **Single pump** — one thread owning the `VeriDpServer`, popping
-//!   batches and running `ingest_batch` (the non-robust path).
-//! * **Sharded robust pumps** — with [`IngestConfig::robust`] set, intake
+//! * **Plain** — [`IngestConfig::verify_threads`] workers share the one
+//!   queue, each with its own snapshot reader, verdict cache, and stats
+//!   (verdicts are pure, so which worker takes a batch is unobservable).
+//! * **Sharded robust** — with [`IngestConfig::robust`] set, intake
 //!   partitions every batch by [`TagReport::shard`] (the `(inport,
 //!   outport)` pair) across `verify_shards` queues, and one
-//!   `RobustWorker` thread per shard pins RCU snapshots and runs the full
-//!   robust path — dedup, epoch grace, quarantine, alarm confirmation —
-//!   with all pair-keyed state shard-local. At shutdown each worker's
-//!   harvest is absorbed back into the server; the conservation identity
-//!   extends across shards (`reports == Σ enqueued + shed` and
-//!   `enqueued == verified`, summed over every shard queue).
+//!   `RobustWorker` per shard runs the full robust path — dedup, epoch
+//!   grace, quarantine, alarm confirmation — with all pair-keyed state
+//!   shard-local.
+//!
+//! At shutdown each worker's results are absorbed back into the server;
+//! the conservation identity extends across workers (`reports == Σ enqueued
+//! + shed` and `enqueued == verified`, summed over every queue).
 //!
 //! [`IngestPipeline::shutdown`] sequences the drain: stop intake (one
 //! level-triggered wake, no polling) → intake reads kernel-accepted bytes
 //! until quiet and flushes partials → join intake → close the queues → the
-//! pumps empty them and exit → hand the `VeriDpServer` back with the final
+//! workers empty them and exit → hand the `VeriDpServer` back with the final
 //! [`NetStatsSnapshot`].
 //!
 //! The listener can also run *polled* (no pump): the owner pulls decoded
@@ -61,7 +66,8 @@ use std::time::{Duration, Instant};
 use std::os::fd::AsRawFd;
 
 use veridp_core::{
-    HeaderSetBackend, LivenessConfig, RobustConfig, RobustHarvest, RobustWorker, VeriDpServer,
+    HeaderSetBackend, LivenessConfig, ReaderHandle, RobustConfig, RobustWorker, ServerStats,
+    VeriDpServer,
 };
 use veridp_obs as obs;
 use veridp_obs::LocalHistogram;
@@ -181,8 +187,10 @@ pub struct IngestConfig {
     /// mode). This is the backpressure knob: TCP blocks on it, UDP sheds
     /// over it.
     pub queue_reports: usize,
-    /// Worker threads `ingest_batch` fans each batch out to (single-pump
-    /// mode only).
+    /// Verify workers in plain mode: long-lived threads that each pop
+    /// whole batches off the shared queue and verify them inline. At least
+    /// one runs; [`serve`] fails beyond the snapshot layer's 63 reader
+    /// slots. (Robust mode runs one worker per shard instead.)
     pub verify_threads: usize,
     /// When set, [`serve`] runs the robust wire path: intake shards every
     /// batch by `(inport, outport)` pair across [`IngestConfig::verify_shards`]
@@ -258,8 +266,8 @@ impl Drop for LiveGuard {
 #[derive(Clone)]
 pub(crate) struct IntakeCtx {
     pub(crate) stats: Arc<NetStats>,
-    /// One queue in single-pump mode; `verify_shards` queues in robust
-    /// mode, indexed by [`TagReport::shard`].
+    /// One queue in plain mode; `verify_shards` queues in robust mode,
+    /// indexed by [`TagReport::shard`].
     pub(crate) queues: Arc<Vec<Arc<BatchQueue>>>,
     pub(crate) stop: Arc<StopSignal>,
     pub(crate) batch_reports: usize,
@@ -1063,150 +1071,153 @@ fn udp_loop(socket: UdpSocket, ctx: IntakeCtx) {
 
 // ---------------------------------------------------------------- pumps
 
-/// The consumer side: either one thread owning the `VeriDpServer` and
-/// running `ingest_batch`, or — in robust mode — one `RobustWorker` thread
-/// per shard queue, with the server held back for harvest absorption at
-/// join. Each pump keeps a private ingest-latency histogram so every
-/// pipeline's percentiles are self-contained (the global obs histogram is
-/// cumulative across all pipelines in the process).
+/// The consumer side: long-lived `net-verify-{i}` threads that pop whole
+/// batches off the listener's queue(s) and verify them inline against a
+/// pinned RCU snapshot, with the `VeriDpServer` held back until
+/// [`VerifyPump::join`] absorbs what each worker accumulated. Each worker
+/// keeps a private ingest-latency histogram so every pipeline's percentiles
+/// are self-contained (the global obs histogram is cumulative across all
+/// pipelines in the process).
 pub struct VerifyPump<B: HeaderSetBackend> {
-    inner: PumpInner<B>,
-}
-
-enum PumpInner<B: HeaderSetBackend> {
-    Single {
-        handle: JoinHandle<(VeriDpServer<B>, LocalHistogram)>,
-    },
-    Sharded {
-        server: Box<VeriDpServer<B>>,
-        workers: Vec<JoinHandle<(RobustHarvest, LocalHistogram, u64)>>,
-    },
+    server: VeriDpServer<B>,
+    workers: Vec<JoinHandle<(Worker<B>, LocalHistogram, u64)>>,
+    /// Plain mode switched snapshots on for its readers; `join` hands the
+    /// server back the way it came.
+    restore_snapshots_off: bool,
 }
 
 /// What a joined pump hands back.
 pub struct PumpOutput<B: HeaderSetBackend> {
-    /// The `VeriDpServer`, with every worker harvest absorbed in robust
-    /// mode.
+    /// The `VeriDpServer`, with every worker's results absorbed.
     pub server: VeriDpServer<B>,
-    /// Per-report ingest latency across every pump thread.
+    /// Per-report ingest latency across every worker thread.
     pub latency: LocalHistogram,
-    /// Reports verified per shard (empty in single-pump mode).
+    /// Reports verified per shard (empty in plain mode).
     pub shard_verified: Vec<u64>,
 }
 
-impl<B: HeaderSetBackend> VerifyPump<B> {
-    /// Attach a single batch-mode pump to a listener's queue. `poison` is
-    /// the shared fault-injection countdown (see
-    /// [`IngestConfig::poison_after`]); `None` in production.
-    pub fn spawn(
-        listener: &IngestServer,
-        server: VeriDpServer<B>,
-        verify_threads: usize,
-        poison: Option<Arc<AtomicI64>>,
-    ) -> Self {
-        let queue = Arc::clone(&listener.queues_arc()[0]);
-        let stats = listener.stats_arc();
-        let threads = verify_threads.max(1);
-        let handle = thread::Builder::new()
-            .name("net-pump".into())
-            .spawn(move || pump_loop(server, queue, stats, threads, poison))
-            .expect("spawn verify pump");
-        VerifyPump {
-            inner: PumpInner::Single { handle },
+/// One verify worker's private state: nothing here is shared, so a batch
+/// costs no lock beyond the queue pop.
+enum Worker<B: HeaderSetBackend> {
+    /// A snapshot reader (with its own verdict cache) counting into its own
+    /// stats block.
+    Plain {
+        reader: ReaderHandle<B>,
+        stats: ServerStats,
+    },
+    /// The full robust path with all pair-keyed state shard-local.
+    Robust(Box<RobustWorker<B>>),
+}
+
+impl<B: HeaderSetBackend> Worker<B> {
+    /// Verify one whole batch on this thread, under one snapshot pin.
+    fn ingest(&mut self, batch: &[TagReport]) {
+        match self {
+            Worker::Plain { reader, stats } => {
+                stats.merge(&ServerStats::from(&reader.verify_summary(batch, 1)));
+            }
+            Worker::Robust(worker) => worker.ingest_batch(batch),
         }
     }
+}
 
-    /// Attach sharded robust pumps: enable robust mode + snapshots on the
-    /// server, then spawn one `RobustWorker` per shard queue. Workers pin
-    /// an RCU snapshot per batch, so the server (held here until
-    /// [`VerifyPump::join`]) stays free for concurrent rule churn.
-    pub fn spawn_robust(
+impl<B: HeaderSetBackend> VerifyPump<B> {
+    /// Attach the verify workers to a listener's queue(s): with `robust`
+    /// set, robust mode on the server and one `RobustWorker` per shard
+    /// queue; otherwise `verify_threads` snapshot readers on the single
+    /// queue. Workers pin an RCU snapshot per batch, so the server (held
+    /// here until [`VerifyPump::join`]) stays free for concurrent churn.
+    /// `poison` is the countdown of [`IngestConfig::poison_after`]. Fails,
+    /// before any thread starts, when the snapshot reader slots run out.
+    pub fn spawn(
         listener: &IngestServer,
         mut server: VeriDpServer<B>,
-        robust: RobustConfig,
+        robust: Option<RobustConfig>,
+        verify_threads: usize,
         poison: Option<Arc<AtomicI64>>,
-    ) -> Self {
-        server.set_robust(Some(robust));
-        server.set_snapshots(true);
+    ) -> io::Result<Self> {
         let queues = listener.queues_arc();
-        let stats = listener.stats_arc();
-        let workers = queues
-            .iter()
-            .enumerate()
-            .map(|(i, queue)| {
-                let mut worker = server
-                    .robust_worker()
-                    .expect("robust worker: robust mode and snapshots are on");
+        let sharded = robust.is_some();
+        let restore_snapshots_off = !sharded && !server.snapshots_enabled();
+        let mut count = verify_threads.max(1);
+        if sharded {
+            server.set_robust(robust);
+            count = queues.len();
+        }
+        server.set_snapshots(true);
+        let worker = |i| {
+            if sharded {
+                let mut worker = server.robust_worker()?;
                 worker.set_shard(i);
-                let queue = Arc::clone(queue);
+                Some(Worker::Robust(Box::new(worker)))
+            } else {
+                let stats = ServerStats::default();
+                let reader = server.snapshot_reader()?;
+                Some(Worker::Plain { reader, stats })
+            }
+        };
+        let workers: Option<Vec<Worker<B>>> = (0..count).map(worker).collect();
+        let workers = workers.ok_or_else(|| {
+            let what = "more verify workers than the snapshot layer has reader slots";
+            io::Error::new(io::ErrorKind::InvalidInput, what)
+        })?;
+        let stats = listener.stats_arc();
+        let workers = workers
+            .into_iter()
+            .enumerate()
+            .map(|(i, worker)| {
+                // Robust worker `i` owns shard queue `i`; plain ones share queue 0.
+                let queue = Arc::clone(&queues[i % queues.len()]);
                 let stats = Arc::clone(&stats);
                 let poison = poison.clone();
                 thread::Builder::new()
                     .name(format!("net-verify-{i}"))
-                    .spawn(move || robust_pump_loop(worker, queue, stats, poison))
-                    .expect("spawn verify shard")
+                    .spawn(move || worker_loop(worker, queue, stats, poison))
+                    .expect("spawn verify worker")
             })
             .collect();
-        VerifyPump {
-            inner: PumpInner::Sharded {
-                server: Box::new(server),
-                workers,
-            },
-        }
+        Ok(VerifyPump {
+            server,
+            workers,
+            restore_snapshots_off,
+        })
     }
 
-    /// Wait for the pump(s) to exit (they do so once the queues are closed
-    /// and drained) and take the `VeriDpServer` back, with every worker
-    /// harvest absorbed.
+    /// Wait for the workers to exit (once the queues are closed and drained)
+    /// and take the `VeriDpServer` back, every worker's results absorbed.
     pub fn join(self) -> PumpOutput<B> {
-        match self.inner {
-            PumpInner::Single { handle } => {
-                let (server, latency) = handle.join().expect("verify pump panicked");
-                PumpOutput {
-                    server,
-                    latency,
-                    shard_verified: Vec::new(),
-                }
-            }
-            PumpInner::Sharded { server, workers } => {
-                let mut server = *server;
-                let mut latency = LocalHistogram::new();
-                let mut shard_verified = Vec::with_capacity(workers.len());
-                for handle in workers {
-                    let (harvest, lat, verified) = handle.join().expect("verify shard panicked");
-                    server.absorb(harvest);
-                    latency.merge(&lat);
+        let mut server = self.server;
+        let mut latency = LocalHistogram::new();
+        let mut shard_verified = Vec::new();
+        for handle in self.workers {
+            let (worker, lat, verified) = handle.join().expect("verify worker panicked");
+            match worker {
+                Worker::Plain { stats, .. } => server.absorb_stats(&stats),
+                Worker::Robust(worker) => {
+                    server.absorb(worker.harvest());
                     shard_verified.push(verified);
                 }
-                PumpOutput {
-                    server,
-                    latency,
-                    shard_verified,
-                }
             }
+            latency.merge(&lat);
         }
-    }
-}
-
-/// Trip the poison countdown: panics exactly once, when the counter
-/// crosses 1 → 0. The panic fires *before* any ingest work touches worker
-/// state, so the supervised retry runs against a clean slate and produces
-/// the same verdicts an uninterrupted run would.
-fn maybe_poison(poison: &Option<Arc<AtomicI64>>) {
-    if let Some(p) = poison {
-        if p.fetch_sub(1, Ordering::SeqCst) == 1 {
-            panic!("injected verify-worker poison");
+        if self.restore_snapshots_off {
+            server.set_snapshots(false);
+        }
+        PumpOutput {
+            server,
+            latency,
+            shard_verified,
         }
     }
 }
 
 /// Supervise one batch ingest: catch a panic, count a restart + the
-/// replayed reports, and retry the batch once. The worker's pair-keyed
-/// state (dedup filter, grace, alarms) lives on the same thread and
-/// survives; the retry re-pins a fresh RCU snapshot because the robust
-/// worker pins per `ingest_batch` call — which is the whole restart story:
-/// fresh snapshot, same accumulated state, same verdicts. A second panic
-/// on the same batch is a real bug and propagates.
+/// replayed reports, and retry the batch once. The worker's own state
+/// (verdict cache, and on the robust path dedup filter, grace, alarms)
+/// lives on the same thread and survives; the retry re-pins a fresh RCU
+/// snapshot because workers pin per batch — which is the whole restart
+/// story: fresh snapshot, same accumulated state, same verdicts. A second
+/// panic on the same batch is a real bug and propagates.
 fn supervised<T>(stats: &NetStats, batch_len: u64, mut f: impl FnMut() -> T) -> T {
     match catch_unwind(AssertUnwindSafe(&mut f)) {
         Ok(v) => v,
@@ -1224,41 +1235,30 @@ fn supervised<T>(stats: &NetStats, batch_len: u64, mut f: impl FnMut() -> T) -> 
     }
 }
 
-fn pump_loop<B: HeaderSetBackend>(
-    mut server: VeriDpServer<B>,
-    queue: Arc<BatchQueue>,
-    stats: Arc<NetStats>,
-    threads: usize,
-    poison: Option<Arc<AtomicI64>>,
-) -> (VeriDpServer<B>, LocalHistogram) {
-    let mut lat = LocalHistogram::new();
-    while let Pop::Batch(batch) = queue.pop_wait() {
-        let t0 = Instant::now();
-        supervised(&stats, batch.len() as u64, || {
-            maybe_poison(&poison);
-            server.ingest_batch(&batch, threads);
-        });
-        let per_report = t0.elapsed().as_nanos() as u64 / batch.len().max(1) as u64;
-        lat.record(per_report);
-        stats.add_verified(batch.len() as u64);
-    }
-    obs::histogram!("veridp_net_ingest_report_ns").merge_local(&lat);
-    (server, lat)
-}
-
-fn robust_pump_loop<B: HeaderSetBackend>(
-    mut worker: RobustWorker<B>,
+/// The one verify loop, plain or robust: pop a whole batch, ingest it
+/// supervised, account it; exit once the queue is closed and drained.
+fn worker_loop<B: HeaderSetBackend>(
+    mut worker: Worker<B>,
     queue: Arc<BatchQueue>,
     stats: Arc<NetStats>,
     poison: Option<Arc<AtomicI64>>,
-) -> (RobustHarvest, LocalHistogram, u64) {
+) -> (Worker<B>, LocalHistogram, u64) {
     let mut lat = LocalHistogram::new();
     let mut verified = 0u64;
     while let Pop::Batch(batch) = queue.pop_wait() {
         let t0 = Instant::now();
         supervised(&stats, batch.len() as u64, || {
-            maybe_poison(&poison);
-            worker.ingest_batch(&batch);
+            // Injected poison panics exactly once, when the countdown
+            // crosses 1 → 0 — *before* any ingest work touches worker
+            // state, so the supervised retry runs against a clean slate and
+            // produces the verdicts an uninterrupted run would.
+            if poison
+                .as_ref()
+                .is_some_and(|p| p.fetch_sub(1, Ordering::SeqCst) == 1)
+            {
+                panic!("injected verify-worker poison");
+            }
+            worker.ingest(&batch);
         });
         let per_report = t0.elapsed().as_nanos() as u64 / batch.len().max(1) as u64;
         lat.record(per_report);
@@ -1266,9 +1266,7 @@ fn robust_pump_loop<B: HeaderSetBackend>(
         stats.add_verified(batch.len() as u64);
     }
     obs::histogram!("veridp_net_ingest_report_ns").merge_local(&lat);
-    // `harvest` settles the worker first: quarantined stragglers resolve
-    // against the newest pinned snapshot before the state is folded back.
-    (worker.harvest(), lat, verified)
+    (worker, lat, verified)
 }
 
 /// Listener + pump, bundled. Build with [`serve`].
@@ -1277,10 +1275,11 @@ pub struct IngestPipeline<B: HeaderSetBackend> {
     pump: Option<VerifyPump<B>>,
 }
 
-/// Bind a listener per `config` and attach the verify side owning
-/// `server`: a single `ingest_batch` pump, or — when
-/// [`IngestConfig::robust`] is set — sharded `RobustWorker` pumps running
-/// the robust path against pinned snapshots.
+/// Bind a listener per `config` and attach the verify workers sharing
+/// `server`'s published snapshots: [`IngestConfig::verify_threads`] plain
+/// ones, or — with [`IngestConfig::robust`] set — one `RobustWorker` per
+/// shard. Fails like [`IngestServer::bind`], or with `InvalidInput` when
+/// the workers outnumber the snapshot layer's reader slots.
 pub fn serve<B: HeaderSetBackend>(
     config: IngestConfig,
     server: VeriDpServer<B>,
@@ -1291,14 +1290,15 @@ pub fn serve<B: HeaderSetBackend>(
         .poison_after
         .map(|n| Arc::new(AtomicI64::new(n.max(1) as i64)));
     let listener = IngestServer::bind(config)?;
-    let pump = match robust {
-        Some(rc) => VerifyPump::spawn_robust(&listener, server, rc, poison),
-        None => VerifyPump::spawn(&listener, server, verify_threads, poison),
+    let pump = match VerifyPump::spawn(&listener, server, robust, verify_threads, poison) {
+        Ok(pump) => Some(pump),
+        Err(e) => {
+            // No worker started; stop the intake threads `bind` did start.
+            listener.shutdown_polled(&mut Vec::new());
+            return Err(e);
+        }
     };
-    Ok(IngestPipeline {
-        listener,
-        pump: Some(pump),
-    })
+    Ok(IngestPipeline { listener, pump })
 }
 
 impl<B: HeaderSetBackend> IngestPipeline<B> {

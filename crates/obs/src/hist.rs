@@ -330,6 +330,16 @@ impl LocalHistogram {
         self.count
     }
 
+    /// Forget every sample, keeping the allocation: a per-batch buffer is
+    /// merged out and reused. Only walks the touched bucket range.
+    pub fn clear(&mut self) {
+        if self.count > 0 {
+            self.buckets[self.lo..=self.hi].fill(0);
+            (self.count, self.sum, self.min, self.max) = (0, 0, u64::MAX, 0);
+            (self.lo, self.hi) = (BUCKET_COUNT, 0);
+        }
+    }
+
     /// Current summary. Only walks the touched bucket range.
     pub fn snapshot(&self) -> HistSnapshot {
         if self.count == 0 {

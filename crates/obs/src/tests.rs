@@ -156,6 +156,31 @@ fn local_histogram_merge_equals_direct_recording() {
 
 #[cfg(not(feature = "off"))]
 #[test]
+fn cleared_local_histogram_is_as_new() {
+    // The per-batch buffer pattern: record, merge out, clear, reuse. What
+    // a cleared buffer merges out must be the new samples alone.
+    let mut buffer = LocalHistogram::new();
+    let mut total = LocalHistogram::new();
+    let mut direct = LocalHistogram::new();
+    for batch in 0..3u64 {
+        for v in 0..200u64 {
+            let v = (v * 31 + batch * 1_000_003) % 1_000_000;
+            buffer.record(v);
+            direct.record(v);
+        }
+        total.merge(&buffer);
+        buffer.clear();
+        assert_eq!(buffer.count(), 0);
+        assert_eq!(buffer.snapshot(), LocalHistogram::new().snapshot());
+    }
+    assert_eq!(total.snapshot(), direct.snapshot());
+    buffer.clear(); // clearing an empty buffer is a no-op
+    buffer.record(7);
+    assert_eq!((buffer.snapshot().min, buffer.snapshot().max), (7, 7));
+}
+
+#[cfg(not(feature = "off"))]
+#[test]
 fn merge_local_folds_into_shared() {
     let shared = Histogram::new();
     let mut w1 = LocalHistogram::new();

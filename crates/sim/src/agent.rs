@@ -115,7 +115,9 @@ impl SwitchAgent {
     ) -> io::Result<SwitchAgent> {
         let rng = StdRng::seed_from_u64(config.seed ^ 0xa9e47);
         Ok(SwitchAgent {
-            link: Link::Resilient(Box::new(ResilientSender::connect(transport, addr, resilient)?)),
+            link: Link::Resilient(Box::new(ResilientSender::connect(
+                transport, addr, resilient,
+            )?)),
             config,
             rng,
             stats: ChaosStats::default(),

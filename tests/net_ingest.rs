@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use veridp::controller::Intent;
 use veridp::core::{RobustConfig, VeriDpServer};
-use veridp::net::{serve, IngestConfig, IngestServer, NetSender, Transport};
+use veridp::net::{serve, IngestConfig, IngestMode, IngestServer, NetSender, Transport};
 use veridp::packet::{PortNo, TagReport};
 use veridp::sim::Monitor;
 use veridp::switch::{Action, Fault};
@@ -297,6 +297,98 @@ fn sharded_robust_pump_matches_in_process_robust_ingest() {
     let (want, got) = (key(&baseline), key(&server));
     assert!(!want.is_empty(), "K-of-N must confirm the misdirection");
     assert_eq!(want, got, "confirmed alarms match the direct robust path");
+}
+
+#[test]
+fn plain_worker_pool_matches_in_process_across_the_matrix() {
+    // A stream with failing verdicts in it, so equal counts mean more than
+    // "everything passed".
+    let reports = faulty_report_set();
+    let mut baseline = fresh_server();
+    baseline.set_fastpath(true);
+    baseline.ingest_batch(&reports, 1);
+    let want = baseline.stats().verdict_counts();
+    assert!(baseline.stats().failed() > 0);
+
+    let mut engines = vec![IngestMode::Threaded];
+    if cfg!(target_os = "linux") {
+        engines.push(IngestMode::Reactor);
+    }
+    for mode in engines {
+        for transport in [Transport::Tcp, Transport::Udp] {
+            for verify_threads in [1, 2, 4] {
+                for poison_after in [None, Some(2)] {
+                    let case = format!("{mode} {transport} x{verify_threads} {poison_after:?}");
+                    let mut cfg = IngestConfig::for_addr(transport, "127.0.0.1:0").unwrap();
+                    cfg.mode = mode;
+                    cfg.verify_threads = verify_threads;
+                    cfg.batch_reports = 32;
+                    cfg.poison_after = poison_after;
+                    let mut server = fresh_server();
+                    server.set_fastpath(true);
+                    let pipeline = serve(cfg, server).unwrap();
+                    let mut tx = NetSender::connect(transport, pipeline.local_addr()).unwrap();
+                    for (i, r) in reports.iter().enumerate() {
+                        tx.send_report(r).unwrap();
+                        // Paced, so intake cuts many batches: every worker
+                        // gets some, the poison has a second batch to land
+                        // on, and loopback UDP keeps up.
+                        if i % 64 == 63 {
+                            tx.flush().unwrap();
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    tx.finish().unwrap();
+                    pipeline.wait_frames(reports.len() as u64, Duration::from_secs(10));
+                    let (server, snap) = pipeline.shutdown();
+
+                    assert!(snap.conserved(), "{case}: {snap:?}");
+                    assert_eq!(
+                        snap.worker_restarts,
+                        poison_after.map_or(0, |_| 1),
+                        "{case}"
+                    );
+                    assert!(
+                        snap.shard_verified.is_empty(),
+                        "{case}: no shards in plain mode"
+                    );
+                    assert!(
+                        !server.snapshots_enabled(),
+                        "{case}: handed back as it came"
+                    );
+                    // Every worker's counters came home: verdicts and the
+                    // private caches' hits and misses.
+                    let s = server.stats();
+                    assert_eq!(s.reports, snap.verified, "{case}");
+                    assert_eq!(s.cache_hits + s.cache_misses, s.reports, "{case}");
+                    if transport == Transport::Tcp || snap.reports == reports.len() as u64 {
+                        assert_eq!(s.verdict_counts(), want, "{case}");
+                    } else {
+                        // The kernel may drop datagrams; what arrived is
+                        // still judged like the baseline judged it.
+                        assert!(s.reports as usize >= reports.len() * 9 / 10, "{case}");
+                        assert!(s.failed() <= baseline.stats().failed(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn more_verify_threads_than_reader_slots_is_an_error() {
+    let mut cfg = IngestConfig::for_addr(Transport::Tcp, "127.0.0.1:0").unwrap();
+    cfg.verify_threads = 64;
+    let err = match serve(cfg, fresh_server()) {
+        Ok(_) => panic!("64 workers cannot all have a reader slot"),
+        Err(e) => e,
+    };
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    // The limit itself is fine: 63 readers beside the server's own.
+    let mut cfg = IngestConfig::for_addr(Transport::Tcp, "127.0.0.1:0").unwrap();
+    cfg.verify_threads = 63;
+    let (_server, snap) = serve(cfg, fresh_server()).unwrap().shutdown();
+    assert!(snap.conserved(), "{snap:?}");
 }
 
 #[test]
