@@ -162,7 +162,7 @@ fn run(which: &str, cfg: &Config) {
             );
             print!("{}", exp::ablation::render(&loc, &upd));
             let n = if cfg.quick { 150 } else { 600 };
-            let pred = exp::ablation::ruletree_vs_rescan(n, cfg.seed);
+            let pred = exp::ablation::delta_vs_rescan(n, cfg.seed);
             print!("{}", exp::ablation::render_predicates(&pred));
         }
         "verify_fastpath" => {

@@ -5,6 +5,8 @@
 //!    positives make it skip past the real fault. PathInfer's
 //!    downstream-completion check dismisses those.
 //! 2. **Incremental update vs full rebuild** (§4.4): per-rule latency.
+//! 3. **Owned-set delta vs predicate rescan** (§4.4, Fig. 8): port-predicate
+//!    maintenance alone.
 
 use std::time::Instant;
 
@@ -206,88 +208,76 @@ pub fn render(loc: &[LocalizationAblation], upd: &UpdateAblation) -> String {
 /// Render the predicate-maintenance ablation.
 pub fn render_predicates(p: &PredicateAblation) -> String {
     format!(
-        "\nAblation 3: port-predicate maintenance, rule tree (Fig. 8) vs rescan\n\
-         {} prefix rules | rule tree {:.1} ms total | rescan {:.1} ms total | speedup {:.0}x\n",
+        "\nAblation 3: port-predicate maintenance, owned-set delta (§4.4, Fig. 8) vs rescan\n\
+         {} rules | delta {:.1} ms total | rescan {:.1} ms total | speedup {:.0}x\n",
         p.rules,
-        p.ruletree_total_ms,
+        p.delta_total_ms,
         p.rescan_total_ms,
         p.speedup()
     )
 }
 
-/// Port-predicate maintenance: the §4.4 rule tree vs a full priority rescan,
-/// for prefix-only tables (the Fig. 8 data structure's payoff).
+/// Port-predicate maintenance: the production owned-set delta
+/// ([`SwitchPredicates::update`](veridp_core::SwitchPredicates::update))
+/// vs a full priority rescan
+/// ([`SwitchPredicates::from_rules`](veridp_core::SwitchPredicates::from_rules))
+/// after every rule — the question the paper's rule tree (Fig. 8) answers.
 #[derive(Debug, Clone)]
 pub struct PredicateAblation {
     pub rules: usize,
-    pub ruletree_total_ms: f64,
+    pub delta_total_ms: f64,
     pub rescan_total_ms: f64,
 }
 
 impl PredicateAblation {
     pub fn speedup(&self) -> f64 {
-        self.rescan_total_ms / self.ruletree_total_ms.max(1e-9)
+        self.rescan_total_ms / self.delta_total_ms.max(1e-9)
     }
 }
 
-/// Time `n` rule additions both ways on one switch.
-pub fn ruletree_vs_rescan(n: usize, seed: u64) -> PredicateAblation {
-    use veridp_core::ruletree::{PrefixRule, RuleTree};
-    use veridp_core::SwitchPredicates;
+/// Time `n` rule additions both ways on one switch, and check that both
+/// end in the same predicates.
+pub fn delta_vs_rescan(n: usize, seed: u64) -> PredicateAblation {
+    use veridp_core::{RuleUpdate, SwitchPredicates};
 
     let topo = gen::internet2();
     let target = topo.switch_by_name("KANS").unwrap();
-    let fresh = synth::single_switch_rules(&topo, target, n, seed);
+    let rules: Vec<FlowRule> = synth::single_switch_rules(&topo, target, n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, (prio, fields, action))| FlowRule::new(i as u64, prio, fields, action))
+        .collect();
     let ports: Vec<PortNo> = (1..=8).map(PortNo).collect();
 
-    // Rule tree: one incremental delta per add.
-    let mut hs = veridp_core::HeaderSpace::new();
-    let mut tree = RuleTree::new();
-    let mut seen = std::collections::HashSet::new();
+    // Delta: one owned-set update per add.
+    let mut hs = HeaderSpace::new();
+    let mut delta = SwitchPredicates::from_rules(target, &ports, &[], &mut hs);
     let t = Instant::now();
-    let mut tree_added = 0usize;
-    for (i, (_, fields, action)) in fresh.iter().enumerate() {
-        if !seen.insert((fields.dst_ip, fields.dst_plen)) {
-            continue; // the tree keys rules by prefix
-        }
-        let Action::Forward(out) = action else {
-            continue;
-        };
-        tree.add(
-            PrefixRule {
-                id: veridp_switch::RuleId(i as u64),
-                prefix: fields.dst_ip,
-                plen: fields.dst_plen,
-                out: *out,
-            },
-            &mut hs,
-        );
-        tree_added += 1;
+    for rule in &rules {
+        std::hint::black_box(delta.update(&RuleUpdate::Add(target, *rule), &mut hs));
     }
-    let ruletree_total_ms = t.elapsed().as_secs_f64() * 1e3;
+    let delta_total_ms = t.elapsed().as_secs_f64() * 1e3;
 
     // Rescan: rebuild the whole predicate vector after every add.
-    let mut hs2 = veridp_core::HeaderSpace::new();
-    let mut rules: Vec<FlowRule> = Vec::new();
-    let mut seen2 = std::collections::HashSet::new();
+    let mut hs2 = HeaderSpace::new();
     let t = Instant::now();
-    for (i, (prio, fields, action)) in fresh.iter().enumerate() {
-        if !seen2.insert((fields.dst_ip, fields.dst_plen)) {
-            continue;
-        }
-        if !matches!(action, Action::Forward(_)) {
-            continue;
-        }
-        rules.push(FlowRule::new(i as u64, *prio, *fields, *action));
+    for k in 1..=rules.len() {
         std::hint::black_box(SwitchPredicates::from_rules(
-            target, &ports, &rules, &mut hs2,
+            target,
+            &ports,
+            &rules[..k],
+            &mut hs2,
         ));
     }
     let rescan_total_ms = t.elapsed().as_secs_f64() * 1e3;
 
+    let rescan = SwitchPredicates::from_rules(target, &ports, &rules, &mut hs);
+    for y in ports.iter().copied().chain([veridp_packet::DROP_PORT]) {
+        assert_eq!(delta.transfer(PortNo(1), y), rescan.transfer(PortNo(1), y));
+    }
     PredicateAblation {
-        rules: tree_added,
-        ruletree_total_ms,
+        rules: rules.len(),
+        delta_total_ms,
         rescan_total_ms,
     }
 }

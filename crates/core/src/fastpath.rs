@@ -18,13 +18,21 @@
 //!    the path table at all.
 //!
 //! Caching verdicts is safe because Algorithm 3 is a pure function of the
-//! report and the path table: a cached verdict can only go stale when the
-//! table changes. Every incremental update bumps the table's
-//! [`epoch`](crate::PathTable::epoch); cache slots record the epoch they
-//! were filled at and are lazily disbelieved on mismatch, so no eager
-//! flush is needed and a stale verdict is never served. The index is
-//! rebuilt wholesale on epoch change ([`VerifyFastPath::sync`]) — it holds
-//! only tag bits and path positions, so a rebuild is a cheap linear pass.
+//! report and its pair's path entries: a cached verdict can only go stale
+//! when an update changes that pair. Every incremental update bumps the
+//! table's [`epoch`](crate::PathTable::epoch) and stamps each pair whose
+//! entry list it changed ([`PathTable::pair_changed`]); the [`TagIndex`]
+//! of an epoch carries those stamps. A cache slot records the epoch it was
+//! filled at. A lookup at the same epoch is the hit path — one key and
+//! epoch compare. A slot holding the same report from an older epoch is
+//! *revalidated*: re-stamped and served if its pair has not changed since
+//! the fill (counted by `veridp_verdict_cache_revalidated_total`),
+//! disbelieved otherwise (`veridp_verdict_cache_stale_epoch_total` counts
+//! exactly those: verdicts an update really invalidated). No eager flush
+//! runs, a stale verdict is never served, and an update costs the readers
+//! only the pairs it changed. The index is rebuilt wholesale on epoch
+//! change ([`VerifyFastPath::sync`]) — it holds only tag bits, path
+//! positions and pair stamps, so a rebuild is a cheap linear pass.
 //!
 //! Neither structure holds backend handles, so one [`VerifyFastPath`] works
 //! unchanged on the BDD and the atom backend, and the sharded batch-ingest
@@ -37,7 +45,7 @@ use veridp_obs as obs;
 use veridp_packet::{PortRef, TagReport};
 
 use crate::backend::HeaderSetBackend;
-use crate::path_table::PathTable;
+use crate::path_table::{PairStamps, PathTable};
 use crate::verify::VerifyOutcome;
 
 /// Per-pair index: tag bits → positions (into the pair's path list) of the
@@ -48,11 +56,13 @@ struct PairIndex {
 }
 
 /// Immutable snapshot index over one [`PathTable`] at one epoch: for every
-/// `(inport, outport)` pair, its paths grouped by tag bits.
+/// `(inport, outport)` pair, its paths grouped by tag bits, plus the epoch
+/// at which each pair last changed ([`PathTable::pair_changed`]).
 #[derive(Debug, Clone)]
 pub struct TagIndex {
     epoch: u64,
     pairs: HashMap<(PortRef, PortRef), PairIndex>,
+    changed: PairStamps,
 }
 
 impl TagIndex {
@@ -71,12 +81,18 @@ impl TagIndex {
         TagIndex {
             epoch: table.epoch(),
             pairs,
+            changed: table.pair_epochs.clone(),
         }
     }
 
     /// The table epoch this index was built against.
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// [`PathTable::pair_changed`] as of this index's epoch.
+    pub fn pair_changed(&self, inport: PortRef, outport: PortRef) -> u64 {
+        self.changed.get(&(inport, outport)).copied().unwrap_or(0)
     }
 
     /// Positions of the pair's paths whose tag bits equal `tag_bits`.
@@ -144,9 +160,10 @@ impl CacheKey {
 #[derive(Debug, Clone, Copy)]
 struct CacheSlot {
     key: CacheKey,
-    /// Table epoch at fill time; a slot is believed only while the table is
-    /// still at this epoch. `u64::MAX` marks a never-filled slot (tables
-    /// would need 2^64 updates to reach it).
+    /// Table epoch at fill time, or at the last revalidation; a slot is
+    /// believed at a later epoch only while its pair has not changed since.
+    /// `u64::MAX` marks a never-filled slot (tables would need 2^64 updates
+    /// to reach it).
     epoch: u64,
     verdict: VerifyOutcome,
 }
@@ -180,9 +197,10 @@ const EMPTY_SLOT: CacheSlot = CacheSlot {
 ///
 /// Each key hashes to exactly one slot; a colliding insert evicts the
 /// previous entry (losing one only costs a recomputation). Slots remember
-/// the table epoch they were filled at, so a lookup after any rule change
-/// misses without any flush ever running. Grows by doubling (entries
-/// dropped, as in the apply cache) up to 2^`MAX_BITS` slots.
+/// the table epoch they were filled at, so after a rule change a lookup
+/// revalidates against the pair's change stamp without any flush ever
+/// running. Grows by doubling (entries dropped, as in the apply cache) up
+/// to 2^`MAX_BITS` slots.
 #[derive(Debug, Clone)]
 pub struct VerdictCache {
     slots: Vec<CacheSlot>,
@@ -208,30 +226,40 @@ impl VerdictCache {
         }
     }
 
-    /// Cached verdict for `report`, if present and filled at `epoch`.
+    /// Cached verdict for `report` against the table `index` was built
+    /// for. A slot filled at this epoch answers directly; one holding the
+    /// same report from an older epoch answers iff the report's pair has
+    /// not changed since ([`TagIndex::pair_changed`]), and is re-stamped.
     #[inline]
-    pub fn lookup(&self, report: &TagReport, epoch: u64) -> Option<VerifyOutcome> {
+    pub fn lookup(&mut self, report: &TagReport, index: &TagIndex) -> Option<VerifyOutcome> {
         let key = CacheKey::of(report);
-        let s = &self.slots[(key.hash() & self.mask) as usize];
+        let epoch = index.epoch();
+        let s = &mut self.slots[(key.hash() & self.mask) as usize];
         if s.epoch == epoch && s.key == key {
             return Some(s.verdict);
         }
-        // A slot holding this exact report at an older epoch is a verdict
-        // lazily invalidated by a table update — the interesting case for
-        // operators sizing update churn (vs. a plain collision/cold miss).
-        if s.epoch != epoch && s.epoch != u64::MAX && s.key == key {
-            Self::note_stale_epoch();
+        if s.epoch < epoch && s.key == key {
+            return Self::revalidate(s, index);
         }
         None
     }
 
-    /// Counter bump for lazily-invalidated slots, kept out of line so the
-    /// registry-handle machinery never bloats (or de-inlines) the
-    /// hit-path [`lookup`](Self::lookup).
+    /// A slot holding the report at an older epoch (never-filled slots
+    /// carry `u64::MAX`, so never land here): its verdict still holds iff
+    /// the report's pair has not changed since the fill — Algorithm 3 reads
+    /// nothing else — and is then re-stamped to the index's epoch and
+    /// served. Otherwise the slot is stale: counted, and recomputed by the
+    /// caller. Kept out of line so the hit path stays one compare.
     #[cold]
     #[inline(never)]
-    fn note_stale_epoch() {
+    fn revalidate(s: &mut CacheSlot, index: &TagIndex) -> Option<VerifyOutcome> {
+        if index.pair_changed(s.key.inport, s.key.outport) <= s.epoch {
+            s.epoch = index.epoch();
+            obs::counter!("veridp_verdict_cache_revalidated_total").inc();
+            return Some(s.verdict);
+        }
         obs::counter!("veridp_verdict_cache_stale_epoch_total").inc();
+        None
     }
 
     /// Record `verdict` for `report` at `epoch`, evicting whatever occupied
@@ -393,7 +421,8 @@ impl VerifyFastPath {
     ) -> (VerifyOutcome, bool) {
         self.sync(table);
         let epoch = table.epoch();
-        if let Some(v) = self.cache.lookup(report, epoch) {
+        let index = self.index.as_ref().expect("sync populated the index");
+        if let Some(v) = self.cache.lookup(report, index) {
             // Cache hits run instruction-identical to the obs-off build:
             // all latency sampling lives on the miss path below, and the
             // hit count itself is mirrored from `stats` pull-style.
@@ -405,7 +434,6 @@ impl VerifyFastPath {
         // lookup itself — effectively constant — so sampling misses is what
         // tells an operator whether the index is doing its job.
         let _span = obs::sampled_span!(obs::histogram!("veridp_fastpath_miss_ns"), 16);
-        let index = self.index.as_ref().expect("sync populated the index");
         let v = table.verify_indexed(report, hs, index);
         self.cache.insert(report, epoch, v);
         self.stats.misses += 1;
@@ -429,33 +457,67 @@ mod tests {
         )
     }
 
+    /// An index at `epoch` whose only changed pair is `r`'s, stamped
+    /// `changed`.
+    fn at(epoch: u64, r: &TagReport, changed: u64) -> TagIndex {
+        TagIndex {
+            epoch,
+            pairs: HashMap::new(),
+            changed: HashMap::from([((r.inport, r.outport), changed)]),
+        }
+    }
+
     #[test]
     fn cache_hit_after_insert_and_epoch_miss() {
         let mut c = VerdictCache::new();
         let r = report(7);
-        assert_eq!(c.lookup(&r, 0), None);
+        assert_eq!(c.lookup(&r, &at(0, &r, 0)), None);
         c.insert(&r, 0, VerifyOutcome::Pass);
-        assert_eq!(c.lookup(&r, 0), Some(VerifyOutcome::Pass));
-        // An epoch bump invalidates without any flush.
-        assert_eq!(c.lookup(&r, 1), None);
+        assert_eq!(c.lookup(&r, &at(0, &r, 0)), Some(VerifyOutcome::Pass));
+        // An epoch bump that changed the report's pair invalidates without
+        // any flush.
+        assert_eq!(c.lookup(&r, &at(1, &r, 1)), None);
         // Re-filling at the new epoch works, and the old epoch is dead.
         c.insert(&r, 1, VerifyOutcome::TagMismatch);
-        assert_eq!(c.lookup(&r, 1), Some(VerifyOutcome::TagMismatch));
-        assert_eq!(c.lookup(&r, 0), None);
+        assert_eq!(
+            c.lookup(&r, &at(1, &r, 1)),
+            Some(VerifyOutcome::TagMismatch)
+        );
+        assert_eq!(c.lookup(&r, &at(0, &r, 0)), None);
+    }
+
+    #[test]
+    fn epoch_bump_elsewhere_revalidates_and_restamps() {
+        let mut c = VerdictCache::new();
+        let r = report(7);
+        c.insert(&r, 3, VerifyOutcome::Pass);
+        // Pair last changed at 3, when the verdict was filled: still good
+        // at epoch 5, and re-stamped to it.
+        assert_eq!(c.lookup(&r, &at(5, &r, 3)), Some(VerifyOutcome::Pass));
+        assert_eq!(
+            c.slots[(CacheKey::of(&r).hash() & c.mask) as usize].epoch,
+            5
+        );
+        // A later change of the pair kills it.
+        assert_eq!(c.lookup(&r, &at(7, &r, 6)), None);
+        // An index older than the fill never vouches for it.
+        c.insert(&r, 9, VerifyOutcome::Pass);
+        assert_eq!(c.lookup(&r, &at(8, &r, 0)), None);
     }
 
     #[test]
     fn cache_distinguishes_full_key() {
         let mut c = VerdictCache::new();
         let r = report(7);
+        let idx = at(0, &r, 0);
         c.insert(&r, 0, VerifyOutcome::Pass);
         // Same bits, different width: different tag, must miss.
         let mut wider = r;
         wider.tag = BloomTag::from_bits(r.tag.bits(), 32);
-        assert_eq!(c.lookup(&wider, 0), None);
+        assert_eq!(c.lookup(&wider, &idx), None);
         let mut other_pair = r;
         other_pair.outport = PortRef::new(3, 1);
-        assert_eq!(c.lookup(&other_pair, 0), None);
+        assert_eq!(c.lookup(&other_pair, &idx), None);
     }
 
     #[test]
@@ -469,7 +531,8 @@ mod tests {
         // Whatever survived the evictions must still answer correctly.
         let mut hits = 0u32;
         for i in 0..n {
-            if let Some(v) = c.lookup(&report(i), 0) {
+            let r = report(i);
+            if let Some(v) = c.lookup(&r, &at(0, &r, 0)) {
                 assert_eq!(v, VerifyOutcome::Pass);
                 hits += 1;
             }

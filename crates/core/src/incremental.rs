@@ -4,62 +4,59 @@
 //! paths that cross the affected `⟨x, S, y⟩` hops change. The update runs in
 //! two phases, exactly as the paper describes:
 //!
-//! 1. **Port-predicate update** — recompute `S`'s transfer predicates and
-//!    diff them against the old ones, producing per-`(x, y)` deltas
-//!    `Δ⁻` (headers that no longer transfer `x→y`) and `Δ⁺` (headers that
-//!    newly do). For pure prefix rules this reduces to the paper's rule-tree
-//!    formulation (the new rule's effective match moves between the new
-//!    output port and its parent's); computing the delta from the predicate
-//!    diff additionally handles ACLs, port ranges, and priority interleaving.
+//! 1. **Port-predicate update** — [`SwitchPredicates::update`] moves headers
+//!    between the owned sets of `S`'s rules, touching only the rules whose
+//!    match overlaps the changed one (the paper's rule tree, Figure 8,
+//!    generalized to ACLs, port ranges, priority interleaving and `in_port`
+//!    rules), and reports the transfer predicates it changed. Their diffs
+//!    are the per-`(x, y)` deltas `Δ⁻` (headers that no longer transfer
+//!    `x→y`) and `Δ⁺` (headers that newly do). Cost is proportional to the
+//!    change, not to `S`'s table.
 //! 2. **Path-entry update** — subtract `Δ⁻` from every path (and reach
 //!    record) through the shrunk hop, pruning emptied paths; then, for every
 //!    header set recorded as having *reached* `S` ([`ReachRecord`]), push its
 //!    intersection with `Δ⁺` out of the new port and resume the Algorithm-2
-//!    traversal from there, merging the resulting paths in.
+//!    traversal from there, merging the resulting paths in. Every pair whose
+//!    entry list this phase changes is stamped with the new epoch
+//!    ([`PathTable::pair_changed`]), which lets verdict caches keep the
+//!    verdicts of all other pairs across the update.
 //!
 //! The result is semantically identical to a full rebuild (a property the
 //! test-suite checks exhaustively) at a small fraction of the cost — Fig. 14
 //! measures it.
 //!
 //! [`ReachRecord`]: crate::path_table::ReachRecord
+//! [`SwitchPredicates::update`]: crate::predicates::SwitchPredicates::update
 
 use std::collections::HashMap;
 
 use veridp_bloom::BloomTag;
 use veridp_obs as obs;
-use veridp_packet::{Hop, PortNo, PortRef, SwitchId, DROP_PORT};
+use veridp_packet::{Hop, PortNo, PortRef, SwitchId};
 use veridp_switch::{Action, FlowRule, RuleId};
 
 use crate::backend::HeaderSetBackend;
 use crate::path_table::PathTable;
-use crate::predicates::SwitchPredicates;
+use crate::snapshot::RuleUpdate;
 
 impl<B: HeaderSetBackend> PathTable<B> {
     /// Incrementally apply a rule addition at switch `s`.
     pub fn add_rule(&mut self, s: SwitchId, rule: FlowRule, hs: &mut B) {
-        self.update_switch(s, hs, |rules| {
-            rules.retain(|r| r.id != rule.id);
-            rules.push(rule);
-        });
+        self.apply(RuleUpdate::Add(s, rule), hs);
     }
 
     /// Incrementally apply a rule deletion at switch `s`.
     pub fn delete_rule(&mut self, s: SwitchId, id: RuleId, hs: &mut B) {
-        self.update_switch(s, hs, |rules| {
-            rules.retain(|r| r.id != id);
-        });
+        self.apply(RuleUpdate::Delete(s, id), hs);
     }
 
     /// Incrementally apply an action change (delete + add, as in §4.4).
     pub fn modify_rule(&mut self, s: SwitchId, id: RuleId, action: Action, hs: &mut B) {
-        self.update_switch(s, hs, |rules| {
-            if let Some(r) = rules.iter_mut().find(|r| r.id == id) {
-                r.action = action;
-            }
-        });
+        self.apply(RuleUpdate::Modify(s, id, action), hs);
     }
 
-    fn update_switch(&mut self, s: SwitchId, hs: &mut B, edit: impl FnOnce(&mut Vec<FlowRule>)) {
+    /// Apply one rule update: both phases of the module docs.
+    pub(crate) fn apply(&mut self, upd: RuleUpdate, hs: &mut B) {
         // Updates are control-plane-rate (not report-rate) events, so a
         // full span per update is affordable and the latency distribution
         // is exactly what Fig. 14 measures.
@@ -69,21 +66,17 @@ impl<B: HeaderSetBackend> PathTable<B> {
             self.tracks_reach(),
             "incremental update requires reach records (use PathTable::build, not build_static)"
         );
-        let Some(info) = self.topo().switch(s) else {
-            return;
-        };
-        let ports: Vec<PortNo> = (1..=info.num_ports).map(PortNo).collect();
+        let s = upd.switch();
 
         // Phase 1: port-predicate update.
-        let old = match self.preds.get(&s) {
-            Some(p) => p.clone(),
-            None => return,
+        let Some(preds) = self.preds.get_mut(&s) else {
+            return;
         };
-        edit(self.rules.entry(s).or_default());
+        let changes = preds.update(&upd, hs);
         // Invalidate fast-path state before any early return below: even a
         // semantically-neutral rule edit must never leave a verdict cache
         // keyed on the pre-edit table. (Conservative; a spurious bump only
-        // costs a cache refill.)
+        // costs a revalidation per cached verdict.)
         self.bump_epoch();
         obs::counter!("veridp_epoch_bumps_total").inc();
         obs::event!(
@@ -91,42 +84,25 @@ impl<B: HeaderSetBackend> PathTable<B> {
             "rule update at {s:?} bumped table epoch to {}",
             self.epoch()
         );
-        let new = SwitchPredicates::from_rules(
-            s,
-            &ports,
-            self.rules.get(&s).map_or(&[][..], |v| v.as_slice()),
-            hs,
-        );
-
-        let mut all_outs: Vec<PortNo> = ports.clone();
-        all_outs.push(DROP_PORT);
         let mut shrink: HashMap<Hop, B::Set> = HashMap::new();
         let mut grow: HashMap<(PortNo, PortNo), B::Set> = HashMap::new();
-        for &x in &ports {
-            for &y in &all_outs {
-                let before = old.transfer(x, y);
-                let after = new.transfer(x, y);
-                if before == after {
-                    continue;
-                }
-                let minus = hs.diff(before, after);
-                if !hs.is_empty(minus) {
-                    shrink.insert(
-                        Hop {
-                            in_port: x,
-                            switch: s,
-                            out_port: y,
-                        },
-                        minus,
-                    );
-                }
-                let plus = hs.diff(after, before);
-                if !hs.is_empty(plus) {
-                    grow.insert((x, y), plus);
-                }
+        for (x, y, before, after) in changes {
+            let minus = hs.diff(before, after);
+            if !hs.is_empty(minus) {
+                shrink.insert(
+                    Hop {
+                        in_port: x,
+                        switch: s,
+                        out_port: y,
+                    },
+                    minus,
+                );
+            }
+            let plus = hs.diff(after, before);
+            if !hs.is_empty(plus) {
+                grow.insert((x, y), plus);
             }
         }
-        self.preds.insert(s, new);
         if shrink.is_empty() && grow.is_empty() {
             return;
         }
@@ -165,11 +141,15 @@ impl<B: HeaderSetBackend> PathTable<B> {
             }
 
             let mut pruned: u64 = 0;
-            for list in self.entries.values_mut() {
+            let epoch = self.epoch();
+            for (pair, list) in self.entries.iter_mut() {
+                let mut changed = false;
                 list.retain_mut(|entry| {
                     for hop in &entry.hops {
                         if let Some(&minus) = shrink.get(hop) {
-                            entry.headers = hs.diff(entry.headers, minus);
+                            let headers = hs.diff(entry.headers, minus);
+                            changed |= headers != entry.headers;
+                            entry.headers = headers;
                             if hs.is_empty(entry.headers) {
                                 pruned += 1;
                                 return false;
@@ -178,7 +158,12 @@ impl<B: HeaderSetBackend> PathTable<B> {
                     }
                     true
                 });
+                if changed {
+                    self.pair_epochs.insert(*pair, epoch);
+                }
             }
+            // An emptied pair leaves `entries`, but its stamp stays: a
+            // verdict cached while it had paths must not be revalidated.
             self.entries.retain(|_, v| !v.is_empty());
             for records in self.reach.values_mut() {
                 records.retain_mut(|r| {

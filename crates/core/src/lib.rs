@@ -69,7 +69,6 @@ mod predicates;
 pub mod repair;
 pub mod rewrite;
 mod robust;
-pub mod ruletree;
 mod server;
 pub mod snapshot;
 mod verify;

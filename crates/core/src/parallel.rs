@@ -152,13 +152,12 @@ fn verify_cached<B: HeaderSetBackend>(
     stats: &mut FastPathStats,
     report: &TagReport,
 ) -> VerifyOutcome {
-    let epoch = table.epoch();
-    if let Some(v) = cache.lookup(report, epoch) {
+    if let Some(v) = cache.lookup(report, index) {
         stats.hits += 1;
         return v;
     }
     let v = table.verify_indexed(report, hs, index);
-    cache.insert(report, epoch, v);
+    cache.insert(report, index.epoch(), v);
     stats.misses += 1;
     v
 }

@@ -61,7 +61,7 @@ fn run_shard<B: HeaderSetBackend>(
     let translate_span = obs::histogram!("veridp_build_shard_translate_ns").start_span();
     let local_preds: HashMap<SwitchId, SwitchPredicates<B>> = preds
         .iter()
-        .map(|(s, p)| (*s, p.translated(src, &mut backend, &mut memo)))
+        .map(|(s, p)| (*s, p.translated(src, &mut backend, &mut memo, false)))
         .collect();
     drop(translate_span);
     let _traverse_span = obs::histogram!("veridp_build_shard_traverse_ns").start_span();
@@ -75,6 +75,7 @@ fn run_shard<B: HeaderSetBackend>(
         track_reach,
         entries: &mut entries,
         reach: &mut reach,
+        changed: None,
     };
     for &inport in ports {
         let full = backend.full();
@@ -113,7 +114,7 @@ impl<B: HeaderSetBackend> PathTable<B> {
     ) -> Self {
         let _build_span = obs::histogram!("veridp_build_parallel_ns").start_span();
         obs::counter!("veridp_build_parallel_total").inc();
-        let mut table = PathTable::new_empty(topo, rules, tag_bits, true);
+        let mut table = PathTable::new_empty(topo, tag_bits, true);
         Self::prepare_backend(rules, hs);
         for info in topo.switches() {
             let ports: Vec<PortNo> = (1..=info.num_ports).map(PortNo).collect();

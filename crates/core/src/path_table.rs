@@ -98,6 +98,10 @@ impl<B: HeaderSetBackend> Clone for ReachRecord<B> {
     }
 }
 
+/// Per `(inport, outport)` pair, the epoch at which an update last changed
+/// its entry list ([`PathTable::pair_changed`]).
+pub(crate) type PairStamps = HashMap<(PortRef, PortRef), u64>;
+
 /// Aggregate statistics for Table 2 / Fig. 6.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathTableStats {
@@ -130,10 +134,13 @@ pub struct PathTable<B: HeaderSetBackend = HeaderSpace> {
     /// incremental update can still be verified against the table state they
     /// actually traversed (epoch-grace verification, [`crate::grace`]).
     pub(crate) retired: RetiredRing<B>,
-    /// Per-switch logical rules (the control-plane view `R`).
-    pub(crate) rules: HashMap<SwitchId, Vec<FlowRule>>,
+    /// Per-switch transfer predicates, which also hold the switch's
+    /// logical rules (the control-plane view `R`).
     pub(crate) preds: HashMap<SwitchId, SwitchPredicates<B>>,
     pub(crate) entries: HashMap<(PortRef, PortRef), Vec<PathEntry<B>>>,
+    /// Per pair, the epoch at which an update last changed its entry list
+    /// (absent: not since the build). Kept when a pair loses its last entry.
+    pub(crate) pair_epochs: PairStamps,
     pub(crate) reach: HashMap<SwitchId, Vec<ReachRecord<B>>>,
 }
 
@@ -173,14 +180,9 @@ impl<B: HeaderSetBackend> PathTable<B> {
         Self::build_inner(topo, rules, hs, tag_bits, false)
     }
 
-    /// Empty table skeleton shared by the sequential and parallel builds:
-    /// topology and rules recorded, predicates and entries not yet computed.
-    pub(crate) fn new_empty(
-        topo: &Topology,
-        rules: &HashMap<SwitchId, Vec<FlowRule>>,
-        tag_bits: u32,
-        track_reach: bool,
-    ) -> Self {
+    /// Empty table skeleton shared by the builds: topology recorded,
+    /// predicates and entries not yet computed.
+    pub(crate) fn new_empty(topo: &Topology, tag_bits: u32, track_reach: bool) -> Self {
         PathTable {
             topo: topo.clone(),
             tag_bits,
@@ -188,9 +190,9 @@ impl<B: HeaderSetBackend> PathTable<B> {
             track_reach,
             epoch: 0,
             retired: RetiredRing::new(DEFAULT_GRACE_DEPTH),
-            rules: rules.clone(),
             preds: HashMap::new(),
             entries: HashMap::new(),
+            pair_epochs: HashMap::new(),
             reach: HashMap::new(),
         }
     }
@@ -213,7 +215,7 @@ impl<B: HeaderSetBackend> PathTable<B> {
         tag_bits: u32,
         track_reach: bool,
     ) -> Self {
-        let mut table = Self::new_empty(topo, rules, tag_bits, track_reach);
+        let mut table = Self::new_empty(topo, tag_bits, track_reach);
         Self::prepare_backend(rules, hs);
         for info in topo.switches() {
             let ports: Vec<PortNo> = (1..=info.num_ports).map(PortNo).collect();
@@ -256,16 +258,8 @@ impl<B: HeaderSetBackend> PathTable<B> {
         tag_bits: u32,
     ) -> Self {
         let mut table = PathTable {
-            topo: topo.clone(),
-            tag_bits,
-            max_hops: MAX_PATH_LENGTH as usize,
-            track_reach: true,
-            epoch: 0,
-            retired: RetiredRing::new(DEFAULT_GRACE_DEPTH),
-            rules: HashMap::new(),
             preds,
-            entries: HashMap::new(),
-            reach: HashMap::new(),
+            ..Self::new_empty(topo, tag_bits, true)
         };
         let entry_ports: Vec<PortRef> = topo
             .host_ports()
@@ -309,6 +303,17 @@ impl<B: HeaderSetBackend> PathTable<B> {
         self.epoch += 1;
     }
 
+    /// The epoch at which an update last changed the pair's entry list (0:
+    /// not since the build). A verdict on the pair computed at epoch `e`
+    /// still holds at the current epoch iff this is `<= e`: Algorithm 3
+    /// reads nothing but the pair's entries.
+    pub fn pair_changed(&self, inport: PortRef, outport: PortRef) -> u64 {
+        self.pair_epochs
+            .get(&(inport, outport))
+            .copied()
+            .unwrap_or(0)
+    }
+
     /// The ring of recently-retired path entries (epoch-grace state).
     pub fn retired_ring(&self) -> &RetiredRing<B> {
         &self.retired
@@ -349,6 +354,7 @@ impl<B: HeaderSetBackend> PathTable<B> {
             track_reach: self.track_reach,
             entries: &mut self.entries,
             reach: &mut self.reach,
+            changed: Some((&mut self.pair_epochs, self.epoch)),
         };
         t.traverse(hs, inport, at, h, hops, tag);
     }
@@ -363,7 +369,9 @@ impl<B: HeaderSetBackend> PathTable<B> {
         tag: BloomTag,
         hs: &mut B,
     ) {
-        Traversal::insert_into(&mut self.entries, hs, inport, outport, headers, hops, tag)
+        if Traversal::insert_into(&mut self.entries, hs, inport, outport, headers, hops, tag) {
+            self.pair_epochs.insert((inport, outport), self.epoch);
+        }
     }
 
     /// Paths recorded for a pair.
@@ -491,12 +499,12 @@ impl<B: HeaderSetBackend> PathTable<B> {
             track_reach: self.track_reach,
             epoch: self.epoch,
             retired: self.retired.translated(src, dst, &mut memo),
-            rules: self.rules.clone(),
             preds: self
                 .preds
                 .iter()
-                .map(|(&s, p)| (s, p.translated(src, dst, &mut memo)))
+                .map(|(&s, p)| (s, p.translated(src, dst, &mut memo, true)))
                 .collect(),
+            pair_epochs: self.pair_epochs.clone(),
             entries: self
                 .entries
                 .iter()
@@ -548,6 +556,10 @@ pub(crate) struct Traversal<'a, B: HeaderSetBackend> {
     pub track_reach: bool,
     pub entries: &'a mut HashMap<(PortRef, PortRef), Vec<PathEntry<B>>>,
     pub reach: &'a mut HashMap<SwitchId, Vec<ReachRecord<B>>>,
+    /// Where to stamp each pair whose entry list changes, and the epoch to
+    /// stamp ([`PathTable::pair_changed`]); `None` in a parallel build's
+    /// workers, whose pairs are all new.
+    pub changed: Option<(&'a mut PairStamps, u64)>,
 }
 
 impl<B: HeaderSetBackend> Traversal<'_, B> {
@@ -601,7 +613,11 @@ impl<B: HeaderSetBackend> Traversal<'_, B> {
             let tag2 = tag.union(BloomTag::singleton(&hop.encode(), self.tag_bits));
             let out_ref = PortRef { switch: s, port: y };
             if y.is_drop() || self.topo.is_terminal_port(out_ref) {
-                Self::insert_into(self.entries, hs, inport, out_ref, h2, hops2, tag2);
+                if Self::insert_into(self.entries, hs, inport, out_ref, h2, hops2, tag2) {
+                    if let Some((stamps, epoch)) = self.changed.as_mut() {
+                        stamps.insert((inport, out_ref), *epoch);
+                    }
+                }
             } else if self.topo.is_middlebox_port(out_ref) {
                 // Reflecting middlebox: the packet re-enters on the same port.
                 self.traverse(hs, inport, out_ref, h2, hops2, tag2);
@@ -611,7 +627,8 @@ impl<B: HeaderSetBackend> Traversal<'_, B> {
         }
     }
 
-    /// Insert (or merge into) a path entry of `entries`.
+    /// Insert (or merge into) a path entry of `entries`; whether the pair's
+    /// entry list changed.
     pub(crate) fn insert_into(
         entries: &mut HashMap<(PortRef, PortRef), Vec<PathEntry<B>>>,
         hs: &mut B,
@@ -620,12 +637,16 @@ impl<B: HeaderSetBackend> Traversal<'_, B> {
         headers: B::Set,
         hops: Vec<Hop>,
         tag: BloomTag,
-    ) {
+    ) -> bool {
         let list = entries.entry((inport, outport)).or_default();
         if let Some(e) = list.iter_mut().find(|e| e.hops == hops) {
-            e.headers = hs.or(e.headers, headers);
+            let merged = hs.or(e.headers, headers);
+            let changed = merged != e.headers;
+            e.headers = merged;
+            changed
         } else {
             list.push(PathEntry { headers, hops, tag });
+            true
         }
     }
 }

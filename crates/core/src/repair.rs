@@ -36,11 +36,10 @@ pub fn propose(
     in_port: PortNo,
     witness: &FiveTuple,
 ) -> Option<RepairProposal> {
-    let rules = table.rules.get(&switch)?;
-    let mut sorted: Vec<&FlowRule> = rules.iter().collect();
-    sorted.sort_by_key(|r| (std::cmp::Reverse(r.priority), r.id));
-    let rule = *sorted
-        .into_iter()
+    let rule = *table
+        .predicates(switch)?
+        .rules()
+        .iter()
         .find(|r| r.fields.matches(in_port, witness))?;
     Some(RepairProposal {
         switch,

@@ -341,7 +341,7 @@ impl<B: HeaderSetBackend> VeriDpServer<B> {
             OfMessage::FlowModify(id, action) => RuleUpdate::Modify(switch, *id, *action),
             OfMessage::Barrier(_) => return,
         };
-        upd.apply_to(&mut self.table, &mut self.hs);
+        self.table.apply(upd, &mut self.hs);
         if let Some(layer) = &mut self.snapshots {
             layer.publisher.record(upd);
             layer.publisher.publish(&self.table, &self.hs);

@@ -73,12 +73,10 @@ pub enum RuleUpdate {
 }
 
 impl RuleUpdate {
-    /// Apply this update to a table through the incremental updater.
-    pub(crate) fn apply_to<B: HeaderSetBackend>(&self, table: &mut PathTable<B>, hs: &mut B) {
+    /// The switch the update applies to.
+    pub fn switch(&self) -> SwitchId {
         match *self {
-            RuleUpdate::Add(s, rule) => table.add_rule(s, rule, hs),
-            RuleUpdate::Delete(s, id) => table.delete_rule(s, id, hs),
-            RuleUpdate::Modify(s, id, action) => table.modify_rule(s, id, action, hs),
+            RuleUpdate::Add(s, _) | RuleUpdate::Delete(s, _) | RuleUpdate::Modify(s, ..) => s,
         }
     }
 }
@@ -573,7 +571,7 @@ impl<B: HeaderSetBackend> SnapshotPublisher<B> {
         );
         for i in version.applied..self.total {
             let upd = self.log[(i - self.log_base) as usize];
-            upd.apply_to(&mut version.table, &mut version.hs);
+            version.table.apply(upd, &mut version.hs);
         }
         version.applied = self.total;
         version.index = self.build_index.then(|| TagIndex::build(&version.table));
@@ -672,7 +670,7 @@ impl<B: HeaderSetBackend> ConcurrentTable<B> {
 
     /// Apply one rule update to the master and publish the new snapshot.
     pub fn apply(&mut self, upd: RuleUpdate) {
-        upd.apply_to(&mut self.table, &mut self.hs);
+        self.table.apply(upd, &mut self.hs);
         self.publisher.record(upd);
         self.publisher.publish(&self.table, &self.hs);
     }
@@ -681,7 +679,7 @@ impl<B: HeaderSetBackend> ConcurrentTable<B> {
     /// (readers observe the batch atomically).
     pub fn apply_batch(&mut self, upds: &[RuleUpdate]) {
         for upd in upds {
-            upd.apply_to(&mut self.table, &mut self.hs);
+            self.table.apply(*upd, &mut self.hs);
             self.publisher.record(*upd);
         }
         self.publisher.publish(&self.table, &self.hs);

@@ -1324,7 +1324,7 @@ acl in 3 permit any
     }
 }
 
-// ----------------------------------------------- rewrite/ruletree property
+// ------------------------------------------------------- rewrite property
 
 mod extension_properties {
     use super::*;
@@ -1404,60 +1404,6 @@ mod extension_properties {
                 RwField::SrcPort | RwField::DstPort => 16,
             };
             assert_eq!(f.width(), expect);
-        }
-    }
-
-    /// RuleTree predicates match SwitchPredicates for prefix-only tables
-    /// with priority = prefix length.
-    #[test]
-    fn ruletree_matches_switch_predicates() {
-        use crate::ruletree::{PrefixRule, RuleTree};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let mut rng = StdRng::seed_from_u64(4242);
-        for _round in 0..10 {
-            let mut hs = HeaderSpace::new();
-            let mut tree = RuleTree::new();
-            let mut flat: Vec<FlowRule> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for i in 0..rng.gen_range(1..25u64) {
-                let plen = *[0u8, 8, 12, 16, 20, 24, 28, 32]
-                    .get(rng.gen_range(0..8usize))
-                    .unwrap();
-                let prefix = veridp_switch::prefix_mask(
-                    ip(10, rng.gen_range(0..3), rng.gen_range(0..3), rng.gen()),
-                    plen,
-                );
-                if !seen.insert((prefix, plen)) {
-                    continue;
-                }
-                let out = PortNo(rng.gen_range(1..5));
-                tree.add(
-                    PrefixRule {
-                        id: veridp_switch::RuleId(i),
-                        prefix,
-                        plen,
-                        out,
-                    },
-                    &mut hs,
-                );
-                flat.push(FlowRule::new(
-                    i,
-                    plen as u16,
-                    Match::dst_prefix(prefix, plen),
-                    Action::Forward(out),
-                ));
-            }
-            let ports: Vec<PortNo> = (1..5).map(PortNo).collect();
-            let scan = SwitchPredicates::from_rules(SwitchId(1), &ports, &flat, &mut hs);
-            for y in ports.iter().copied().chain([DROP_PORT]) {
-                assert_eq!(
-                    tree.predicate(y),
-                    scan.transfer(PortNo(1), y),
-                    "port {y} diverged"
-                );
-            }
         }
     }
 }
@@ -2294,9 +2240,8 @@ mod fastpath_tests {
         let s = sids[rng.gen_range(0..sids.len())];
         let nports = table.topo().switch(s).unwrap().num_ports;
         let ids: Vec<_> = table
-            .rules
-            .get(&s)
-            .map(|v| v.iter().map(|r| r.id).collect())
+            .predicates(s)
+            .map(|p| p.rules().iter().map(|r| r.id).collect())
             .unwrap_or_default();
         match rng.gen_range(0..3u8) {
             1 if !ids.is_empty() => {
@@ -2327,8 +2272,8 @@ mod fastpath_tests {
     }
 
     /// Seeded loop: the fast path (index + cache) agrees with the plain scan
-    /// on randomized report streams interleaved with rule updates; the
-    /// epoch bump means no cached verdict ever survives a change.
+    /// on randomized report streams interleaved with rule updates; a cached
+    /// verdict survives an update only where its pair did not change.
     #[test]
     fn fastpath_agrees_with_scan_under_updates() {
         for seed in 0..12u64 {
@@ -2390,6 +2335,89 @@ mod fastpath_tests {
                 }
             }
         }
+    }
+
+    /// An update revalidates the cached verdicts of the pairs it left alone
+    /// (served as hits) and recomputes those of the pairs it changed.
+    #[test]
+    fn update_keeps_untouched_pairs_cached() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut hs = HeaderSpace::new();
+        let mut table = figure5_table(&mut hs);
+        let mut battery = report_battery(&table, &hs, &mut rng);
+        battery.sort_by_key(|r| (r.inport, r.outport, r.header, r.tag.bits()));
+        battery.dedup();
+        let mut fp = VerifyFastPath::new();
+        for r in &battery {
+            fp.verify(&table, &hs, r);
+        }
+        // Keep the reports that hit on a second pass: those share their
+        // cache slot with no other report of the battery.
+        battery.retain(|r| fp.verify_flagged(&table, &hs, r).1);
+
+        let (mut kept, mut recomputed) = (0, 0);
+        let mut next_id = 30_000u64;
+        for step in 0..12 {
+            random_update(&mut rng, &mut table, &mut hs, &mut next_id);
+            let epoch = table.epoch();
+            for r in &battery {
+                let touched = table.pair_changed(r.inport, r.outport) == epoch;
+                let (v, hit) = fp.verify_flagged(&table, &hs, r);
+                assert_eq!(v, table.verify(r, &hs), "step {step}: {r}");
+                assert_eq!(hit, !touched, "step {step}: {r}");
+                kept += usize::from(hit);
+                recomputed += usize::from(!hit);
+            }
+        }
+        assert!(
+            kept > 0 && recomputed > 0,
+            "kept {kept}, recomputed {recomputed}"
+        );
+    }
+
+    /// A pair that loses its last entry keeps its change stamp: a verdict
+    /// cached while it had paths is never served after it emptied, even
+    /// across later updates that leave it alone — nor after it regains one.
+    #[test]
+    fn emptied_pair_is_never_served_stale() {
+        let topo = gen::linear(3);
+        let m = Match::dst_prefix(ip(10, 0, 2, 0), 24);
+        let rules: Rules = (1..=3)
+            .map(|s| (SwitchId(s), vec![fwd(s as u64, 24, m, 2)]))
+            .collect();
+        let mut hs = HeaderSpace::new();
+        let mut table = PathTable::build(&topo, &rules, &mut hs, 16);
+        let header = FiveTuple::tcp(ip(10, 0, 1, 1), ip(10, 0, 2, 5), 9, 80);
+        let tag = tag_of(&[(1, 1, 2), (1, 2, 2), (1, 3, 2)]);
+        let report = TagReport::new(PortRef::new(1, 1), PortRef::new(3, 2), header, tag);
+        let mut fp = VerifyFastPath::new();
+        assert_eq!(fp.verify(&table, &hs, &report), VerifyOutcome::Pass);
+
+        // S2 loses its rule: the pair's only path is gone.
+        table.delete_rule(SwitchId(2), veridp_switch::RuleId(2), &mut hs);
+        assert!(table.paths(report.inport, report.outport).is_empty());
+        // An update that changes no pair, before the report is asked again.
+        table.modify_rule(
+            SwitchId(3),
+            veridp_switch::RuleId(3),
+            Action::Forward(PortNo(2)),
+            &mut hs,
+        );
+        assert_eq!(
+            fp.verify(&table, &hs, &report),
+            VerifyOutcome::NoMatchingPath
+        );
+
+        // The rule returns, and so does the path.
+        table.add_rule(SwitchId(2), fwd(2, 24, m, 2), &mut hs);
+        table.modify_rule(
+            SwitchId(3),
+            veridp_switch::RuleId(3),
+            Action::Forward(PortNo(2)),
+            &mut hs,
+        );
+        assert_eq!(fp.verify(&table, &hs, &report), VerifyOutcome::Pass);
+        assert_eq!(fp.verify(&table, &hs, &report), table.verify(&report, &hs));
     }
 
     /// The sharded fast-path batch pipeline is bit-identical to the plain

@@ -21,11 +21,6 @@ VERIDP_BENCH_OUT="$OUT_DIR/BENCH_verify_report.json" \
     cargo bench -q --offline -p veridp-bench --bench verify_report
 
 echo
-echo "== incremental_update (quick) =="
-VERIDP_BENCH_OUT="$OUT_DIR/BENCH_incremental_update.json" \
-    cargo bench -q --offline -p veridp-bench --bench incremental_update
-
-echo
 echo "== bloom_and_bdd (quick) =="
 cargo bench -q --offline -p veridp-bench --bench bloom_and_bdd
 

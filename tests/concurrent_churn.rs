@@ -18,6 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,10 +137,19 @@ fn churn_under_verify<B: HeaderSetBackend>(seed: u64, build_index: bool) {
             });
         }
 
-        // Writer: three rounds of announce burst → reroute storm → partial
-        // withdraw, then a full drain back to the deployed rule set.
+        // Writer: at least three rounds of announce burst → reroute storm →
+        // partial withdraw — more until every reader has finished a pass
+        // under churn (updates are fast enough for three rounds to end
+        // before a reader thread is first scheduled), then a full drain
+        // back to the deployed rule set.
         let mut churn = ChurnGen::new(topo_ref, seed);
-        for _ in 0..3 {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut rounds = 0;
+        while rounds < 3
+            || (progress.iter().any(|p| p.load(Ordering::Relaxed) == 0)
+                && Instant::now() < deadline)
+        {
+            rounds += 1;
             for upd in churn.announce(6) {
                 ct_ref.apply(upd);
             }
